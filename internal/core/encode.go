@@ -20,12 +20,15 @@ package core
 // small dynamic program: conditioning on the (top, column) nets makes
 // the rows independent, so the search is
 //   3 (top) x 3^q (columns) x per-group 3 (group row) x per-atom 3 (row)
-// over precomputed per-block cost tables. A per-problem lower bound
-// (the sum of each block's best achievable cost) lets callers skip the
-// enumeration entirely whenever keeping the current encoding is
-// provably at least as good — the analogue of the paper's memoized
-// fast path. The "keep" candidate is always compared, so a rewrite
-// never increases the encoding cost.
+// over precomputed per-block cost tables. The lower bounds work at two
+// levels, the analogue of the paper's memoized fast path. Per panel,
+// the sum of each block's best achievable cost (case1Bound,
+// case2Bound) skips the enumeration entirely whenever keeping the
+// current encoding is provably at least as good. Per candidate merge,
+// evaluateMerge sums min(keep cost, panel bound) over every panel of
+// the pair and rejects the pair before solving any panel when that sum
+// already misses the saving cutoff. The "keep" candidate is always
+// compared, so a rewrite never increases the encoding cost.
 
 const inf = int64(1) << 50
 

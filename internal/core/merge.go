@@ -4,10 +4,17 @@ package core
 // saving of a candidate pair (Eq. (8)) by temporarily merging it, and
 // committing the best merge with the encoding update of Sect. III-B3.
 //
+// A partner evaluation is bound-first: one pass over the pair's
+// neighbor roots sums a lower bound on the saving's numerator from
+// per-panel bounds, and a pair that provably cannot reach the cutoff is
+// rejected before any panel is solved (see evaluateMerge).
+//
 // All transient objects of the evaluation inner loop (panel problems,
 // decisions, sweep results) are recycled through the caller's gctx, so
 // steady-state evaluations are allocation-free; commits allocate only
 // the long-lived encoding (exact-size edge lists and cross entries).
+
+import "math"
 
 // Within-encoding scenarios for Case 1.
 const (
@@ -29,6 +36,35 @@ type withinPlan struct {
 	prob     *bipProblem
 	plan     bipPlan
 	sideMode [2]int8
+}
+
+// withinBound holds the Case-1 quantities of a pair that the bound
+// pass computes once and computeWithinPlan reuses.
+type withinBound struct {
+	bc       *blockCounts // cross(A,B) block counts, or nil
+	w        int64        // |within(A)| + |within(B)|
+	keepCost int64        // w + |cross(A,B)|
+	lb       int64        // case1Bound floor for the rewrite panel
+	lbLoop   int64        // case1Bound sum for the (M,M) panel
+	sideMode [2]int8
+	sideCost int64
+}
+
+// bound returns a lower bound on computeWithinPlan's cost: the rewrite
+// and (M,M) scenarios cost at least their panel bounds plus fixed
+// parts, and keeping is always a candidate.
+func (wb *withinBound) bound() int64 {
+	return min(wb.keepCost, wb.w+wb.lb, 1+wb.sideCost+wb.lbLoop)
+}
+
+// crossCand is one neighbor root C of a pair under evaluation, as
+// gathered by the bound pass.
+type crossCand struct {
+	c        int32
+	bcA, bcB *blockCounts // looked up only when the panel may be solved
+	keepCost int64        // |cross(A,C)| + |cross(B,C)|
+	gt       int64
+	bound    int64 // min(keepCost, case2Bound): the cross plan costs at least this
 }
 
 type crossPlan struct {
@@ -85,9 +121,12 @@ func (st *state) case2Bound(a, b, c int32, bcA, bcB *blockCounts) int64 {
 	return lb
 }
 
-// case1Bound is the analogous bound for the cross(A,B) blocks.
-func (st *state) case1Bound(a, b int32, bc *blockCounts) int64 {
-	var lb, gtTotal int64
+// case1Bound is the analogous bound for the cross(A,B) blocks. loop is
+// the plain sum of block minima; lb adds the one-edge floor, which
+// holds only for a panel without an ambient net: under the (M,M)
+// self-loop a complete cross(A,B) costs nothing.
+func (st *state) case1Bound(a, b int32, bc *blockCounts) (lb, loop int64) {
+	var gtTotal int64
 	aAtoms := st.atomsOf(a)
 	bAtoms := st.atomsOf(b)
 	for i := 0; i < numAtoms(aAtoms); i++ {
@@ -97,13 +136,42 @@ func (st *state) case1Bound(a, b int32, bc *blockCounts) int64 {
 				gt = bc.cnt[i][j]
 			}
 			gtTotal += gt
-			lb += blockMin(gt, int64(st.size[aAtoms[i]])*int64(st.size[bAtoms[j]]))
+			loop += blockMin(gt, int64(st.size[aAtoms[i]])*int64(st.size[bAtoms[j]]))
 		}
 	}
+	lb = loop
 	if lb == 0 && gtTotal > 0 {
 		lb = 1
 	}
-	return lb
+	return lb, loop
+}
+
+// boundWithin fills wb for the pair (a, b): the keep cost, the panel
+// bounds and the (M,M) scenario's side handling.
+func (st *state) boundWithin(wb *withinBound, a, b int32, bc *blockCounts) {
+	wb.bc = bc
+	wb.w = int64(len(st.within[a])) + int64(len(st.within[b]))
+	wb.keepCost = wb.w + st.crossLen(a, b)
+	wb.lb, wb.lbLoop = st.case1Bound(a, b, bc)
+	wb.sideCost = 0
+	for s, x := range [2]int32{a, b} {
+		switch {
+		case st.isLeaf(x):
+			wb.sideMode[s] = sideDrop
+		case st.selfGT[x] == pairsWithin(st.size[x]):
+			wb.sideMode[s] = sideDrop
+		default:
+			nKeep := 1 + int64(len(st.within[x]))
+			nList := pairsWithin(st.size[x]) - st.selfGT[x]
+			if nKeep <= nList {
+				wb.sideMode[s] = sideNLoopKeep
+				wb.sideCost += nKeep
+			} else {
+				wb.sideMode[s] = sideNList
+				wb.sideCost += nList
+			}
+		}
+	}
 }
 
 // mergeDecision is the full outcome of a (temporary) merge evaluation;
@@ -201,44 +269,21 @@ func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB *blockCou
 // computeWithinPlan evaluates the three Case-1 scenarios and returns
 // the cheapest exact encoding of within(M). Panel problems come from
 // the context free-list; the losing scenario's problem is returned.
-func (st *state) computeWithinPlan(ctx *gctx, a, b int32, bc *blockCounts) withinPlan {
-	wA := int64(len(st.within[a]))
-	wB := int64(len(st.within[b]))
-	keepCost := wA + wB + st.crossLen(a, b)
-	lb := st.case1Bound(a, b, bc)
+func (st *state) computeWithinPlan(ctx *gctx, a, b int32, wb *withinBound) withinPlan {
+	keepCost := wb.keepCost
 
 	var prob1 *bipProblem
 	rewriteCost := inf
 	var plan1 bipPlan
-	if wA+wB+lb < keepCost {
+	if wb.w+wb.lb < keepCost {
 		prob1 = ctx.getProb()
-		st.fillCase1(prob1, a, b, bc, 0)
+		st.fillCase1(prob1, a, b, wb.bc, 0)
 		plan1 = solveBip(prob1)
-		rewriteCost = wA + wB + plan1.cost
+		rewriteCost = wb.w + plan1.cost
 	}
 
-	// (M,M) scenario: evaluate side handling first; its cost bounds
-	// whether the second solve is worth running.
-	var sideMode [2]int8
-	sideCost := int64(0)
-	for s, x := range [2]int32{a, b} {
-		switch {
-		case st.isLeaf(x):
-			sideMode[s] = sideDrop
-		case st.selfGT[x] == pairsWithin(st.size[x]):
-			sideMode[s] = sideDrop
-		default:
-			nKeep := 1 + int64(len(st.within[x]))
-			nList := pairsWithin(st.size[x]) - st.selfGT[x]
-			if nKeep <= nList {
-				sideMode[s] = sideNLoopKeep
-				sideCost += nKeep
-			} else {
-				sideMode[s] = sideNList
-				sideCost += nList
-			}
-		}
-	}
+	// (M,M) scenario: the side handling's cost bounds whether the second
+	// solve is worth running.
 	var prob2 *bipProblem
 	loopCost := inf
 	var plan2 bipPlan
@@ -246,11 +291,11 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, bc *blockCounts) withi
 	if rewriteCost < bound {
 		bound = rewriteCost
 	}
-	if 1+sideCost+lb < bound {
+	if 1+wb.sideCost+wb.lb < bound {
 		prob2 = ctx.getProb()
-		st.fillCase1(prob2, a, b, bc, 1)
+		st.fillCase1(prob2, a, b, wb.bc, 1)
 		plan2 = solveBip(prob2)
-		loopCost = 1 + sideCost + plan2.cost
+		loopCost = 1 + wb.sideCost + plan2.cost
 	}
 
 	switch {
@@ -263,48 +308,130 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, bc *blockCounts) withi
 		return withinPlan{cost: rewriteCost, scenario: withinRewrite, prob: prob1, plan: plan1}
 	default:
 		ctx.putProb(prob1)
-		return withinPlan{cost: loopCost, scenario: withinSelfLoop, prob: prob2, plan: plan2, sideMode: sideMode}
+		return withinPlan{cost: loopCost, scenario: withinSelfLoop, prob: prob2, plan: plan2, sideMode: wb.sideMode}
 	}
 }
 
-// computeCrossPlan evaluates keeping versus rewriting the encoding
-// between the merged tree and root C. The context's scratch problem
-// avoids allocation; it is copied into a pooled problem only when a
-// rewrite wins.
-func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEntry, bcA, bcB *blockCounts) crossPlan {
-	var keepCost, gt int64
+// gatherCross records neighbor root c of the pair (a, b) with its keep
+// cost and cross-plan lower bound. A panel with subedges needs at least
+// one signed edge, so a single kept edge is optimal without looking at
+// the block counts.
+func (st *state) gatherCross(a, b, c int32, eA, eB *crossEntry, sweepA, sweepB *rootSweep) crossCand {
+	cd := crossCand{c: c}
 	if eA != nil {
-		keepCost += int64(len(eA.edges))
-		gt += eA.gt
+		cd.keepCost += int64(len(eA.edges))
+		cd.gt += eA.gt
 	}
 	if eB != nil {
-		keepCost += int64(len(eB.edges))
-		gt += eB.gt
+		cd.keepCost += int64(len(eB.edges))
+		cd.gt += eB.gt
 	}
-	if st.case2Bound(a, b, c, bcA, bcB) >= keepCost {
-		return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost, gt: gt}
+	cd.bound = cd.keepCost
+	if cd.keepCost > 1 || cd.gt == 0 {
+		cd.bcA, cd.bcB = sweepA.get(c), sweepB.get(c)
+		cd.bound = min(cd.keepCost, st.case2Bound(a, b, c, cd.bcA, cd.bcB))
+	}
+	return cd
+}
+
+// computeCrossPlan evaluates keeping versus rewriting the encoding
+// between the merged tree and the gathered root cd.c; the panel is
+// solved only when its bound leaves room for a cheaper rewrite. The
+// context's scratch problem avoids allocation; it is copied into a
+// pooled problem only when a rewrite wins.
+func (st *state) computeCrossPlan(ctx *gctx, mid, a, b int32, cd *crossCand) crossPlan {
+	keep := crossPlan{c: cd.c, keep: true, cost: cd.keepCost, keepCost: cd.keepCost, gt: cd.gt}
+	if cd.bound >= cd.keepCost {
+		return keep
 	}
 	scratch := &ctx.scratch
-	st.fillCase2(scratch, mid, a, b, c, bcA, bcB)
+	st.fillCase2(scratch, mid, a, b, cd.c, cd.bcA, cd.bcB)
 	plan := solveBip(scratch)
-	if plan.cost < keepCost {
+	if plan.cost < cd.keepCost {
 		prob := ctx.getProb()
 		*prob = *scratch
-		return crossPlan{c: c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: keepCost, gt: gt}
+		return crossPlan{c: cd.c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: cd.keepCost, gt: cd.gt}
 	}
-	return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost, gt: gt}
+	return keep
+}
+
+// numeratorCutoff over-approximates the largest numerator of Eq. (8)
+// that still achieves minSaving over denom. The slack must dominate
+// the rounding error of the float64 product (~denom*2^-52), or a cutoff
+// published by a concurrent float-tied evaluation could spuriously
+// abort the true argmax on some schedules; a relative slack keeps the
+// abort conservative at every magnitude, so ties always survive and the
+// index-ordered reduction stays schedule-independent. A cutoff beyond
+// the int64 range saturates, so a minSaving far below zero disables
+// the abort instead of wrapping around.
+func numeratorCutoff(minSaving float64, denom int64) int64 {
+	f := (1 - minSaving) * float64(denom)
+	if !(f < 1<<62) {
+		return math.MaxInt64
+	}
+	return int64(f) + 1 + int64(float64(denom)*1e-12)
+}
+
+// mergeBound returns a lower bound on the numerator of merging roots a
+// and b: the exact h-edge cost, wb's within bound and every gathered
+// cross bound. It fills wb and ctx.cands with one pass over
+// N(a) ∪ N(b) \ {a, b} and stops early once the bound exceeds cutoff,
+// in which case ctx.cands is incomplete.
+func (st *state) mergeBound(ctx *gctx, a, b int32, sweepA, sweepB *rootSweep, wb *withinBound, cutoff int64) int64 {
+	st.boundWithin(wb, a, b, sweepA.get(b))
+	lb := st.hCost[a] + st.hCost[b] + 2 + wb.bound()
+	ctx.cands = ctx.cands[:0]
+	if lb > cutoff {
+		return lb
+	}
+	nbrsA, nbrsB := st.nbrs[a], st.nbrs[b]
+	for c, eA := range nbrsA {
+		if c == b {
+			continue
+		}
+		cd := st.gatherCross(a, b, c, eA, nbrsB[c], sweepA, sweepB)
+		ctx.cands = append(ctx.cands, cd)
+		if lb += cd.bound; lb > cutoff {
+			return lb
+		}
+	}
+	for c, eB := range nbrsB {
+		if c == a {
+			continue
+		}
+		if _, dup := nbrsA[c]; dup {
+			continue
+		}
+		cd := st.gatherCross(a, b, c, nil, eB, sweepA, sweepB)
+		ctx.cands = append(ctx.cands, cd)
+		if lb += cd.bound; lb > cutoff {
+			return lb
+		}
+	}
+	return lb
 }
 
 // evaluateMerge evaluates merging roots a and b into the prospective
 // supernode id mid, returning the full decision and its saving
 // (Eq. (8)), or nil when the merge is infeasible (zero denominator, or
 // it would exceed the height bound hb; hb <= 0 means unbounded — the
-// original SLUGGER). minSaving is a sound pruning cutoff: because the
-// numerator only grows as neighbor costs accumulate, the evaluation
-// aborts (returning nil) as soon as the saving provably falls below
-// minSaving — such a pair can neither win the argmax nor pass the
-// merging threshold. mid must equal the id the merge would be committed
+// original SLUGGER). mid must equal the id the merge would be committed
 // under, since rewritten panels reference it.
+//
+// minSaving is a sound pruning cutoff: the evaluation returns nil as
+// soon as the saving provably falls below it — such a pair can neither
+// win the argmax nor pass the merging threshold. The proof uses a
+// two-level bound. Each panel's bound (the sum of its blocks' best
+// costs, see encode.go) is a lower bound on that panel's cost, so the
+// sum over all panels of min(keep cost, panel bound) bounds the
+// numerator before anything is solved; a pair whose bound already
+// exceeds the cutoff is rejected there. Otherwise the panels whose
+// bound leaves room for a rewrite are solved one by one, each exact
+// cost replacing its bound term, and the evaluation aborts once the
+// tightened bound exceeds the cutoff. Every abort therefore implies
+// that the exact numerator exceeds the cutoff, so which pairs survive,
+// and their decisions, do not depend on the order or the cutoff's
+// schedule.
 func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootSweep, hb int, minSaving float64) *mergeDecision {
 	if hb > 0 {
 		h := st.height[a]
@@ -319,45 +446,24 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootS
 	if denom <= 0 {
 		return nil
 	}
-	// numCutoff over-approximates the largest numerator still achieving
-	// minSaving. The slack must dominate the rounding error of the
-	// float64 product (~denom*2^-52), or a cutoff published by a
-	// concurrent float-tied evaluation could spuriously abort the true
-	// argmax on some schedules; a relative slack keeps the abort
-	// conservative at every magnitude, so ties always survive and the
-	// index-ordered reduction stays schedule-independent.
-	numCutoff := int64((1-minSaving)*float64(denom)) + 1 + int64(float64(denom)*1e-12)
+	numCutoff := numeratorCutoff(minSaving, denom)
+	var wb withinBound
+	num := st.mergeBound(ctx, a, b, sweepA, sweepB, &wb, numCutoff)
+	if num > numCutoff {
+		return nil
+	}
 	dec := ctx.getDec()
 	dec.a, dec.b = a, b
-	dec.within = st.computeWithinPlan(ctx, a, b, sweepA.get(b))
-
-	num := st.hCost[a] + st.hCost[b] + 2 + dec.within.cost
-	if num > numCutoff {
+	dec.within = st.computeWithinPlan(ctx, a, b, &wb)
+	if num += dec.within.cost - wb.bound(); num > numCutoff {
 		ctx.putDec(dec)
 		return nil
 	}
-	addCross := func(c int32, eA, eB *crossEntry) bool {
-		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB, sweepA.get(c), sweepB.get(c))
+	for i := range ctx.cands {
+		cd := &ctx.cands[i]
+		cp := st.computeCrossPlan(ctx, mid, a, b, cd)
 		dec.crosses = append(dec.crosses, cp)
-		num += cp.cost
-		return num <= numCutoff
-	}
-	for c, eA := range st.nbrs[a] {
-		if c != b {
-			if !addCross(c, eA, st.nbrs[b][c]) {
-				ctx.putDec(dec)
-				return nil
-			}
-		}
-	}
-	for c, eB := range st.nbrs[b] {
-		if c == a {
-			continue
-		}
-		if _, dup := st.nbrs[a][c]; dup {
-			continue
-		}
-		if !addCross(c, nil, eB) {
+		if num += cp.cost - cd.bound; num > numCutoff {
 			ctx.putDec(dec)
 			return nil
 		}

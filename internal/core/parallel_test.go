@@ -111,10 +111,9 @@ func allocState(tb testing.TB) *state {
 	return st
 }
 
-// The seed implementation allocated ~19 objects per sweep (one pointer
-// per adjacent root plus map buckets). The arena-backed sweep must stay
-// allocation-free in steady state; allow a little slack for map-bucket
-// rehashing inside the recycled lookup tables.
+// The arena-backed sweep must stay allocation-free in steady state;
+// allow a little slack for map-bucket rehashing inside the recycled
+// lookup tables.
 func TestSweepAllocationFree(t *testing.T) {
 	st := allocState(t)
 	ctx := st.getCtx()
@@ -134,36 +133,65 @@ func TestSweepAllocationFree(t *testing.T) {
 	st.putCtx(ctx)
 }
 
-// evaluateMerge recycles decisions, panel problems and scratch through
-// the context, so steady-state partner evaluations allocate nothing.
-func TestEvaluateMergeAllocationFree(t *testing.T) {
-	st := allocState(t)
-	ctx := st.getCtx()
-	roots := st.roots()
-	sweeps := make([]*rootSweep, len(roots))
-	for i, r := range roots {
-		sweeps[i] = st.sweepInto(ctx, r)
+// evalBench holds a mid-run state with the sweeps of all its roots, for
+// evaluating the pairs of consecutive roots.
+type evalBench struct {
+	st     *state
+	ctx    *gctx
+	roots  []int32
+	sweeps []*rootSweep
+	mid    int32
+}
+
+func newEvalBench(tb testing.TB) *evalBench {
+	st := allocState(tb)
+	eb := &evalBench{st: st, ctx: st.getCtx(), roots: st.roots(), mid: st.reserveIDs(1)[0]}
+	eb.sweeps = make([]*rootSweep, len(eb.roots))
+	for i, r := range eb.roots {
+		eb.sweeps[i] = st.sweepInto(eb.ctx, r)
 	}
-	mid := st.reserveIDs(1)[0]
-	// Warm the decision/problem free-lists.
-	for j := 0; j+1 < len(roots); j++ {
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+	return eb
+}
+
+// eval evaluates the i-th consecutive root pair, returning the decision
+// (to be recycled by the caller) or nil.
+func (eb *evalBench) eval(i int, minSaving float64) *mergeDecision {
+	j := i % (len(eb.roots) - 1)
+	return eb.st.evaluateMerge(eb.ctx, eb.roots[j], eb.roots[j+1], eb.mid, eb.sweeps[j], eb.sweeps[j+1], 0, minSaving)
+}
+
+// evaluateMerge recycles decisions, panel problems and scratch through
+// the context, so steady-state partner evaluations allocate nothing —
+// also on the full path that solves the panels of every neighbor root.
+func TestEvaluateMergeAllocationFree(t *testing.T) {
+	eb := newEvalBench(t)
+	n := len(eb.roots) - 1
+	// Warm the decision/problem free-lists; with no cutoff every pair
+	// must reach the cross plans.
+	crosses := 0
+	for j := 0; j < n; j++ {
+		dec := eb.eval(j, -1e18)
+		if dec == nil {
+			t.Fatalf("pair %d: no decision without a cutoff", j)
+		}
+		crosses += len(dec.crosses)
+		eb.ctx.putDec(dec)
+	}
+	if crosses < n {
+		t.Fatalf("%d pairs gathered only %d cross plans", n, crosses)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
-		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+		eb.ctx.putDec(eb.eval(i, -1e18))
 		i++
 	})
-	if avg > 0.5 {
-		t.Fatalf("evaluateMerge allocates %.2f objects per op, want ~0", avg)
+	if avg != 0 {
+		t.Fatalf("evaluateMerge allocates %.2f objects per op, want 0", avg)
 	}
-	st.releaseIDs([]int32{mid})
-	st.putCtx(ctx)
 }
 
 // BenchmarkSweep measures the merge inner loop's sweep on a mid-run
-// state (the seed implementation: ~1.5us, 19 allocs/op).
+// state.
 func BenchmarkSweep(b *testing.B) {
 	st := allocState(b)
 	ctx := st.getCtx()
@@ -176,21 +204,30 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkEvaluateMerge measures one partner evaluation on a mid-run
-// state (the seed implementation: 1 alloc/op plus panel allocations on
-// the evaluation paths that built problems).
+// state: cutoff=none takes the full path through every panel solve,
+// cutoff=theta uses a merging threshold as the cutoff, so that most
+// pairs are rejected by the bound before any solve. decisions/op is
+// the share of evaluations that return a decision.
 func BenchmarkEvaluateMerge(b *testing.B) {
-	st := allocState(b)
-	ctx := st.getCtx()
-	roots := st.roots()
-	sweeps := make([]*rootSweep, len(roots))
-	for i, r := range roots {
-		sweeps[i] = st.sweepInto(ctx, r)
-	}
-	mid := st.reserveIDs(1)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+	for _, bc := range []struct {
+		name      string
+		minSaving float64
+	}{
+		{"cutoff=none", -1e18},
+		{"cutoff=theta", Threshold(5, 20)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eb := newEvalBench(b)
+			decisions := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dec := eb.eval(i, bc.minSaving); dec != nil {
+					decisions++
+					eb.ctx.putDec(dec)
+				}
+			}
+			b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
+		})
 	}
 }

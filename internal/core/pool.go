@@ -90,6 +90,10 @@ type gctx struct {
 	// Case-2 scratch problem reused across cross evaluations.
 	scratch bipProblem
 
+	// evaluateMerge's gathered neighbor roots of the pair under
+	// evaluation (see mergeBound).
+	cands []crossCand
+
 	// Free-lists.
 	probFree  []*bipProblem
 	decFree   []*mergeDecision
