@@ -8,6 +8,12 @@
 // protocol, and merges the boundary edges locally — so the answers are
 // bit-identical to serving the same sharded artifact in one process.
 //
+// The coordinator (fed.Coordinator) is a serve.View mounted in
+// serve.Server, the HTTP layer of every other serving mode: the same
+// routes, pooled JSON, PageRank cache and graceful drain, and /stats
+// reports the same per-endpoint metrics (serving.endpoints) next to the
+// federation topology, epoch and client resilience state.
+//
 // Usage:
 //
 //	fedserve -summary out.slgs -peers peers.json [-addr :8080]
@@ -49,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/fed"
+	"repro/internal/serve"
 	"repro/pkg/slug"
 )
 
@@ -138,7 +145,7 @@ func main() {
 
 	fmt.Printf("listening on %s (coordinating %d shards, algorithm %s)\n",
 		*addr, client.NumShards(), sh.Algorithm())
-	if err := co.Run(ctx, *addr); err != nil {
+	if err := serve.NewView(co).WithAlgorithm(sh.Algorithm()).Run(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("shut down cleanly")

@@ -184,7 +184,7 @@ func main() {
 	}
 	stopHealth := client.StartHealth(ctx)
 	defer stopHealth()
-	coord, err := startShardServer(co.Handler())
+	coord, err := startShardServer(serve.NewView(co).WithAlgorithm(sh.Algorithm()).Handler())
 	if err != nil {
 		log.Fatal(err)
 	}

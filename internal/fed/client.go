@@ -6,12 +6,13 @@ package fed
 // is slow, classify the outcome (4xx responses are terminal — the
 // request itself is wrong and retrying cannot help; network errors and
 // 5xx are retryable), back off exponentially with jitter between
-// retries, and wrap whatever remains after the budget in a ShardError
-// naming the shard so the coordinator can surface *which* piece of the
-// federation is down. A background health loop probes every endpoint's
-// /healthz and (when an epoch is pinned) /shardinfo, feeding the same
-// breakers the request path trips, so a restarted shard is readmitted
-// without waiting for a live request to probe it.
+// retries, and wrap whatever remains after the budget in a
+// serve.ShardError naming the shard, so the serving layer can surface
+// *which* piece of the federation is down. A background health loop
+// probes every endpoint's /healthz and (when an epoch is pinned)
+// /shardinfo, feeding the same breakers the request path trips, so a
+// restarted shard is readmitted without waiting for a live request to
+// probe it.
 
 import (
 	"bytes"
@@ -97,17 +98,6 @@ type endpoint struct {
 	healthy atomic.Bool
 }
 
-// ShardError marks a shard-level failure: the wrapped error exhausted
-// the retry budget (or was terminal) against every usable endpoint of
-// one shard. The coordinator maps it to 503 naming the shard.
-type ShardError struct {
-	Shard int
-	Err   error
-}
-
-func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard, e.Err) }
-func (e *ShardError) Unwrap() error { return e.Err }
-
 // statusError is a non-2xx response; 4xx are terminal.
 type statusError struct {
 	status int
@@ -122,7 +112,8 @@ func isTerminal(err error) bool {
 }
 
 // Stats is a point-in-time snapshot of the client's resilience state,
-// served by the coordinator's /stats and asserted on by tests.
+// reported under "client" in the /stats of the serve.Server that mounts
+// the coordinator, and asserted on by tests.
 type Stats struct {
 	Attempts uint64          `json:"attempts"`
 	Retries  uint64          `json:"retries"`
@@ -419,10 +410,10 @@ func (c *Client) attempt(ctx context.Context, eps []*endpoint, f op) (any, error
 
 // do is the resilience core: retry rounds over rotating endpoints with
 // backoff between them, stopping early on a terminal answer or caller
-// cancellation, wrapping the final failure in a ShardError.
+// cancellation, wrapping the final failure in a serve.ShardError.
 func (c *Client) do(ctx context.Context, shard int, f op) (any, error) {
 	if shard < 0 || shard >= c.NumShards() {
-		return nil, &ShardError{Shard: shard, Err: fmt.Errorf("shard out of range [0,%d)", c.NumShards())}
+		return nil, &serve.ShardError{Shard: shard, Err: fmt.Errorf("shard out of range [0,%d)", c.NumShards())}
 	}
 	var lastErr error
 	for round := 0; round <= c.cfg.Retries; round++ {
@@ -449,7 +440,7 @@ func (c *Client) do(ctx context.Context, shard int, f op) (any, error) {
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, &ShardError{Shard: shard, Err: lastErr}
+	return nil, &serve.ShardError{Shard: shard, Err: lastErr}
 }
 
 // get issues a GET and decodes a JSON body into out.

@@ -77,7 +77,7 @@ func TestRetryExhaustionBounded(t *testing.T) {
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
-	var se *fed.ShardError
+	var se *serve.ShardError
 	if !asShardError(err, &se) || se.Shard != 0 {
 		t.Fatalf("error %v does not identify the shard", err)
 	}
@@ -251,9 +251,9 @@ func TestHedgingFiresAndCancelsLoser(t *testing.T) {
 	}
 }
 
-func asShardError(err error, target **fed.ShardError) bool {
+func asShardError(err error, target **serve.ShardError) bool {
 	for err != nil {
-		if se, ok := err.(*fed.ShardError); ok {
+		if se, ok := err.(*serve.ShardError); ok {
 			*target = se
 			return true
 		}

@@ -3,39 +3,34 @@ package fed
 // The federation coordinator: the process clients actually talk to.
 // It loads the sharded envelope's routing half (id maps + boundary
 // sidecar) but none of the per-shard payload engines — those live in
-// shard servers across the network — and serves the exact public HTTP
-// surface internal/serve exposes, answering each query by routing:
+// shard servers across the network. A Coordinator is a serve.View:
+// cmd/fedserve mounts it in serve.Server, so the coordinator answers
+// the HTTP surface of every other serving mode through the same
+// handlers, per-endpoint metrics, pooled JSON and PageRank cache. It
+// answers each query by routing:
 //
-//   - NeighborsOf: scatter shard-local batches to the owning shards,
+//   - NeighborsBatch: scatter shard-local batches to the owning shards,
 //     gather, translate to global ids, merge each vertex's boundary
 //     adjacency locally (model.Routing.MergeBoundary — the same code
 //     path the in-process engine uses, so answers match bit for bit).
 //   - HasEdge: intra-shard pairs go to the owning shard in local ids;
 //     cross-shard pairs are answered locally from the boundary CSR
 //     with no network round-trip at all.
-//   - PageRank: gather the full merged adjacency once (cached — the
-//     artifact is immutable), then run the ordinary in-process power
-//     iteration over it. Same neighbor lists, same iteration order,
-//     same float64 operations: bit-identical ranks to the single
-//     process serving the same envelope.
+//   - Source: gather the full merged adjacency once (cached — the
+//     artifact is immutable); serve.Server runs the ordinary in-process
+//     PageRank over it. Same neighbor lists, same iteration order, same
+//     float64 operations: bit-identical ranks to the single process
+//     serving the same envelope.
 //
-// A shard failure surfaces as 503 naming the failed shard, not a
-// generic error: the caller learns which piece of the data is
+// A shard failure — no endpoint answers, or a reply fails validation —
+// is a serve.ShardError, which serve.Server answers with 503 naming the
+// failed shard: the caller learns which piece of the data is
 // unavailable while queries touching only live shards keep answering.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/algos"
 	"repro/internal/model"
@@ -43,25 +38,16 @@ import (
 	"repro/pkg/slug"
 )
 
-const maxRequestBody = 8 << 20
-
-// Coordinator scatter-gathers the public query surface across a
-// network shard federation.
+// Coordinator scatter-gathers the query surface across a network shard
+// federation. It implements serve.View and serve.Reporter.
 type Coordinator struct {
 	rt      *model.Routing
 	client  *Client
-	algo    string
 	epoch   string
 	version uint64
 
-	mu      sync.Mutex
-	adj     [][]int32 // gathered global adjacency; nil until first PageRank
-	prCache map[prKey][]float64
-}
-
-type prKey struct {
-	d float64
-	t int
+	mu  sync.Mutex
+	adj [][]int32 // gathered global adjacency; nil until first PageRank
 }
 
 // NewCoordinator builds a coordinator from a sharded envelope's
@@ -79,10 +65,8 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	return &Coordinator{
 		rt:      rt,
 		client:  client,
-		algo:    sh.Algorithm(),
 		epoch:   epoch,
 		version: slug.EpochVersion(epoch),
-		prCache: make(map[prKey][]float64),
 	}, nil
 }
 
@@ -121,6 +105,41 @@ func (co *Coordinator) Verify(ctx context.Context) error {
 	return nil
 }
 
+// ReportStats adds the federation topology and the client's resilience
+// state to the coordinator's /stats.
+func (co *Coordinator) ReportStats(stats map[string]any) {
+	stats["federated"] = true
+	stats["shards"] = co.rt.NumShards()
+	stats["boundary_edges"] = co.rt.NumBoundaryEdges()
+	stats["epoch"] = co.epoch
+	stats["version"] = co.version
+	stats["client"] = co.client.Snapshot()
+}
+
+// DownShards lists the shards with no healthy endpoint.
+func (co *Coordinator) DownShards() []int {
+	var down []int
+	for s := 0; s < co.rt.NumShards(); s++ {
+		if !co.client.Healthy(s) {
+			down = append(down, s)
+		}
+	}
+	return down
+}
+
+// NeighborsBatch calls visit with the global neighbor list of each of
+// vs, in request order, after one scatter-gather across their shards.
+func (co *Coordinator) NeighborsBatch(ctx context.Context, vs []int32, visit func(v int32, nbrs []int32)) error {
+	lists, err := co.neighborsGlobal(ctx, vs)
+	if err != nil {
+		return err
+	}
+	for i, nbrs := range lists {
+		visit(vs[i], nbrs)
+	}
+	return nil
+}
+
 // neighborsGlobal scatter-gathers the neighbor lists of global vertex
 // ids: group by owning shard, fetch each shard's locals in parallel
 // over the binary batch endpoint, translate and merge boundary
@@ -152,6 +171,9 @@ func (co *Coordinator) neighborsGlobal(ctx context.Context, vs []int32) ([][]int
 		go func(s int32, g *group) {
 			defer wg.Done()
 			lists, err := co.client.NeighborsLocal(ctx, int(s), g.local)
+			if err == nil {
+				err = co.checkReply(int(s), lists)
+			}
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -163,7 +185,7 @@ func (co *Coordinator) neighborsGlobal(ctx context.Context, vs []int32) ([][]int
 			gid := co.rt.GlobalIDs(int(s))
 			for k, pos := range g.pos {
 				v := vs[pos]
-				out[pos] = co.rt.MergeBoundary(make([]int32, 0, len(lists[k])+4), v, lists[k], gid)
+				out[pos] = co.rt.MergeBoundary(make([]int32, 0, len(lists[k])+len(co.rt.BoundaryOf(v))), v, lists[k], gid)
 			}
 		}(s, g)
 	}
@@ -172,6 +194,22 @@ func (co *Coordinator) neighborsGlobal(ctx context.Context, vs []int32) ([][]int
 		return nil, firstErr
 	}
 	return out, nil
+}
+
+// checkReply rejects a shard reply the boundary merge cannot use: a
+// local id outside the shard would index past its id map (a panic in a
+// scatter goroutine, which no handler recovers), and an unsorted list
+// would merge silently wrong.
+func (co *Coordinator) checkReply(s int, lists [][]int32) error {
+	size := int32(co.rt.ShardSize(s))
+	for _, list := range lists {
+		for i, u := range list {
+			if u >= size || (i > 0 && u <= list[i-1]) {
+				return &serve.ShardError{Shard: s, Err: fmt.Errorf("reply lists local id %d out of order or outside [0,%d)", u, size)}
+			}
+		}
+	}
+	return nil
 }
 
 // HasEdge answers a global edge-existence query: the owning shard's
@@ -188,53 +226,34 @@ func (co *Coordinator) HasEdge(ctx context.Context, u, v int32) (bool, error) {
 	return co.client.HasEdgeLocal(ctx, int(su), co.rt.LocalOf(u), co.rt.LocalOf(v))
 }
 
+// Source returns a traversal source over the gathered global adjacency,
+// for whole-graph algorithms such as PageRank.
+func (co *Coordinator) Source(ctx context.Context) (algos.NeighborSource, func(), error) {
+	adj, err := co.adjacency(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return algos.FromFuncs(len(adj), func(v int32) []int32 { return adj[v] }), func() {}, nil
+}
+
 // adjacency gathers (and caches) the full merged global adjacency. The
 // artifact is immutable, so a successful gather is cached forever; a
 // failed one is not cached, and the next request retries — a transient
 // shard outage never poisons PageRank permanently.
 func (co *Coordinator) adjacency(ctx context.Context) ([][]int32, error) {
 	co.mu.Lock()
-	if co.adj != nil {
-		adj := co.adj
-		co.mu.Unlock()
+	adj := co.adj
+	co.mu.Unlock()
+	if adj != nil {
 		return adj, nil
 	}
-	co.mu.Unlock()
-
-	adj := make([][]int32, co.rt.NumNodes())
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for s := 0; s < co.rt.NumShards(); s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			size := co.rt.ShardSize(s)
-			locals := make([]int32, size)
-			for l := range locals {
-				locals[l] = int32(l)
-			}
-			lists, err := co.client.NeighborsLocal(ctx, s, locals)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			gid := co.rt.GlobalIDs(s)
-			for l, list := range lists {
-				v := gid[l]
-				adj[v] = co.rt.MergeBoundary(make([]int32, 0, len(list)+2), v, list, gid)
-			}
-		}(s)
+	all := make([]int32, co.rt.NumNodes())
+	for v := range all {
+		all[v] = int32(v)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	adj, err := co.neighborsGlobal(ctx, all)
+	if err != nil {
+		return nil, err
 	}
 	co.mu.Lock()
 	if co.adj == nil {
@@ -243,387 +262,4 @@ func (co *Coordinator) adjacency(ctx context.Context) ([][]int32, error) {
 	adj = co.adj
 	co.mu.Unlock()
 	return adj, nil
-}
-
-const maxPRCacheEntries = 32
-
-// PageRankVector computes the federated PageRank vector for (d, t):
-// gather the merged adjacency (cached — the artifact is immutable),
-// then run the ordinary local power iteration over it, for bit-parity
-// with the in-process engine. No (d, t) result caching — that layer
-// lives in pageRank, behind the HTTP handler.
-func (co *Coordinator) PageRankVector(ctx context.Context, d float64, t int) ([]float64, error) {
-	adj, err := co.adjacency(ctx)
-	if err != nil {
-		return nil, err
-	}
-	src := algos.FromFuncs(co.rt.NumNodes(), func(v int32) []int32 { return adj[v] })
-	return algos.PageRank(src, d, t), nil
-}
-
-// pageRank adds (d, t)-keyed result caching over PageRankVector.
-func (co *Coordinator) pageRank(ctx context.Context, d float64, t int) ([]float64, error) {
-	key := prKey{d: d, t: t}
-	co.mu.Lock()
-	if r, ok := co.prCache[key]; ok {
-		co.mu.Unlock()
-		return r, nil
-	}
-	co.mu.Unlock()
-	r, err := co.PageRankVector(ctx, d, t)
-	if err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	if len(co.prCache) >= maxPRCacheEntries {
-		for k := range co.prCache {
-			delete(co.prCache, k)
-			break
-		}
-	}
-	co.prCache[key] = r
-	co.mu.Unlock()
-	return r, nil
-}
-
-// ---- HTTP surface (mirrors internal/serve's shapes exactly) ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeQueryError maps a federation failure onto the wire: a
-// ShardError becomes 503 naming the failed shard (the caller can see
-// which piece of the graph is down, and a load balancer can retry
-// after the breaker's cooldown); anything else is a plain 503.
-func writeQueryError(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	var se *ShardError
-	if errors.As(err, &se) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": se.Error(),
-			"shard": se.Shard,
-		})
-		return
-	}
-	httpError(w, http.StatusServiceUnavailable, "%v", err)
-}
-
-func (co *Coordinator) setVersionHeader(w http.ResponseWriter) {
-	w.Header().Set("X-Summary-Version", strconv.FormatUint(co.version, 10))
-}
-
-func (co *Coordinator) checkVertex(v int64) error {
-	if v < 0 || v >= int64(co.rt.NumNodes()) {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, co.rt.NumNodes())
-	}
-	return nil
-}
-
-func (co *Coordinator) parseVertex(raw string) (int32, error) {
-	v, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("vertex id %q: %v", raw, err)
-	}
-	if err := co.checkVertex(v); err != nil {
-		return 0, err
-	}
-	return int32(v), nil
-}
-
-// Handler returns the coordinator's HTTP routes — the same surface as
-// a single-process server (internal/serve), backed by the federation:
-//
-//	GET  /healthz                     liveness probe
-//	GET  /readyz                      readiness (503 listing down shards)
-//	GET  /stats                       federation topology + client resilience state
-//	GET  /neighbors?v=3 | v=3,7,9     neighbors, single or batched
-//	POST /neighbors {"v":[3,7,9]}     JSON batch form
-//	POST /batch/neighbors             binary batch form (wire framing)
-//	GET  /hasedge?u=1&v=2             edge existence
-//	GET  /pagerank?d=0.85&t=20&top=10 federated PageRank (gather-then-local)
-//	POST /update                      405: federated serving is read-only
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", co.handleReadyz)
-	mux.HandleFunc("GET /stats", co.handleStats)
-	mux.HandleFunc("GET /neighbors", co.handleNeighbors)
-	mux.HandleFunc("POST /neighbors", co.handleNeighborsPost)
-	mux.HandleFunc("POST /batch/neighbors", co.handleNeighborsBinary)
-	mux.HandleFunc("GET /hasedge", co.handleHasEdge)
-	mux.HandleFunc("GET /pagerank", co.handlePageRank)
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", "")
-		httpError(w, http.StatusMethodNotAllowed, "federated serving is read-only; updates go to a mutable single-process server")
-	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				debug.PrintStack()
-				httpError(w, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-		}
-		mux.ServeHTTP(w, r)
-	})
-}
-
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	var down []int
-	for s := 0; s < co.rt.NumShards(); s++ {
-		if !co.client.Healthy(s) {
-			down = append(down, s)
-		}
-	}
-	if len(down) > 0 {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "degraded", "down_shards": down,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := map[string]any{
-		"nodes":          co.rt.NumNodes(),
-		"federated":      true,
-		"shards":         co.rt.NumShards(),
-		"boundary_edges": co.rt.NumBoundaryEdges(),
-		"epoch":          co.epoch,
-		"version":        co.version,
-		"client":         co.client.Snapshot(),
-	}
-	if co.algo != "" {
-		stats["algorithm"] = co.algo
-	}
-	writeJSON(w, http.StatusOK, stats)
-}
-
-func (co *Coordinator) answerNeighbors(w http.ResponseWriter, r *http.Request, vs []int32, single bool) {
-	lists, err := co.neighborsGlobal(r.Context(), vs)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	results := make([]serve.NeighborsResult, len(vs))
-	for i, nbrs := range lists {
-		results[i] = serve.NeighborsResult{V: vs[i], Degree: len(nbrs), Neighbors: nbrs}
-	}
-	co.setVersionHeader(w)
-	if single && len(results) == 1 {
-		writeJSON(w, http.StatusOK, results[0])
-		return
-	}
-	writeJSON(w, http.StatusOK, results)
-}
-
-func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("v")
-	if raw == "" {
-		httpError(w, http.StatusBadRequest, "missing parameter %q", "v")
-		return
-	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > serve.MaxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), serve.MaxBatchItems)
-		return
-	}
-	vs := make([]int32, 0, len(parts))
-	for _, p := range parts {
-		v, err := co.parseVertex(p)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter \"v\": %v", err)
-			return
-		}
-		vs = append(vs, v)
-	}
-	co.answerNeighbors(w, r, vs, true)
-}
-
-func (co *Coordinator) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		V []int32 `json:"v"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return
-	}
-	if len(req.V) == 0 {
-		httpError(w, http.StatusBadRequest, "missing field %q", "v")
-		return
-	}
-	if len(req.V) > serve.MaxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), serve.MaxBatchItems)
-		return
-	}
-	for _, v := range req.V {
-		if err := co.checkVertex(int64(v)); err != nil {
-			httpError(w, http.StatusBadRequest, "field \"v\": %v", err)
-			return
-		}
-	}
-	co.answerNeighbors(w, r, req.V, false)
-}
-
-func (co *Coordinator) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
-	}
-	ids, err := serve.DecodeNeighborsRequest(data, serve.MaxBatchItems)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	for _, v := range ids {
-		if err := co.checkVertex(int64(v)); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	lists, err := co.neighborsGlobal(r.Context(), ids)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	buf := serve.AppendNeighborsResponseHeader(make([]byte, 0, 16+8*len(ids)), len(ids))
-	for _, nbrs := range lists {
-		buf = serve.AppendNeighborsResponseList(buf, nbrs)
-	}
-	co.setVersionHeader(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf)
-}
-
-func (co *Coordinator) handleHasEdge(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	parse := func(name string) (int32, bool) {
-		raw := q.Get(name)
-		if raw == "" {
-			httpError(w, http.StatusBadRequest, "missing parameter %q", name)
-			return 0, false
-		}
-		v, err := co.parseVertex(raw)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter %q: %v", name, err)
-			return 0, false
-		}
-		return v, true
-	}
-	u, ok := parse("u")
-	if !ok {
-		return
-	}
-	v, ok := parse("v")
-	if !ok {
-		return
-	}
-	exists, err := co.HasEdge(r.Context(), u, v)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	co.setVersionHeader(w)
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": exists})
-}
-
-func (co *Coordinator) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	d := 0.85
-	if raw := q.Get("d"); raw != "" {
-		parsed, err := strconv.ParseFloat(raw, 64)
-		if err != nil || !(parsed > 0 && parsed < 1) {
-			httpError(w, http.StatusBadRequest, "parameter \"d\" must be in (0,1)")
-			return
-		}
-		d = parsed
-	}
-	t := 20
-	if raw := q.Get("t"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 || parsed > 1000 {
-			httpError(w, http.StatusBadRequest, "parameter \"t\" must be in [1,1000]")
-			return
-		}
-		t = parsed
-	}
-	top := 10
-	if raw := q.Get("top"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 {
-			httpError(w, http.StatusBadRequest, "parameter \"top\" must be positive")
-			return
-		}
-		top = parsed
-	}
-	rank, err := co.pageRank(r.Context(), d, t)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	co.setVersionHeader(w)
-	ranked := make([]serve.RankedVertex, len(rank))
-	for v, rr := range rank {
-		ranked[v] = serve.RankedVertex{V: int32(v), Rank: rr}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Rank != ranked[j].Rank {
-			return ranked[i].Rank > ranked[j].Rank
-		}
-		return ranked[i].V < ranked[j].V
-	})
-	if top > len(ranked) {
-		top = len(ranked)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"damping": d, "iterations": t, "top": ranked[:top],
-	})
-}
-
-// Run serves the coordinator on addr until the listener fails or ctx
-// is cancelled, draining in-flight requests on shutdown — the same
-// lifecycle contract as serve.Server.Run.
-func (co *Coordinator) Run(ctx context.Context, addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           co.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		return srv.Shutdown(sctx)
-	}
 }

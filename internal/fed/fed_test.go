@@ -11,11 +11,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,7 +140,7 @@ func buildFederation(t *testing.T, cfg fed.Config) *federation {
 	if err := co.Verify(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(co.Handler())
+	ts := httptest.NewServer(serve.NewView(co).Handler())
 	t.Cleanup(ts.Close)
 	return &federation{g: g, sh: sh, epoch: epoch, procs: procs, client: client, co: co, ts: ts}
 }
@@ -481,5 +483,118 @@ func TestCoordinatorBinaryAndJSONPost(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range vertex = %d, want 400", resp.StatusCode)
+	}
+
+	// The coordinator's /stats carries serve's per-endpoint metrics next
+	// to the federation's own fields.
+	var stats struct {
+		Epoch   string     `json:"epoch"`
+		Client  *fed.Stats `json:"client"`
+		Serving struct {
+			Endpoints map[string]struct {
+				Count uint64 `json:"count"`
+			} `json:"endpoints"`
+		} `json:"serving"`
+	}
+	if _, err := getJSON(t, f.ts.URL+"/stats", &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Serving.Endpoints["GET /neighbors"].Count == 0 {
+		t.Fatalf("/stats has no GET /neighbors count: %+v", stats.Serving.Endpoints)
+	}
+	if stats.Epoch != f.epoch || stats.Client == nil {
+		t.Fatalf("/stats lost the federation fields: epoch %q, client %v", stats.Epoch, stats.Client)
+	}
+}
+
+// TestMalformedShardReply answers the coordinator from a fake shard
+// whose neighbor lists hold a local id past the shard's size, or ids
+// out of order. Either must fail the query as 503 naming that shard —
+// the out-of-range id used to crash the coordinator from a scatter
+// goroutine — while the healthy shard keeps answering.
+func TestMalformedShardReply(t *testing.T) {
+	g := graph.ErdosRenyi(60, 200, 13)
+	sh, err := slug.SummarizeSharded(context.Background(), g, 2, slug.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := sh.Epoch()
+	info := func(s int) serve.ShardInfo {
+		return serve.ShardInfo{Shard: s, Shards: 2, Epoch: epoch, Nodes: len(sh.GlobalID[s]), Version: slug.EpochVersion(epoch)}
+	}
+	cs, err := sh.Shards[0].Queryable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := httptest.NewServer(serve.NewShard(cs, info(0)).Handler())
+	t.Cleanup(healthy.Close)
+
+	var reply atomic.Pointer[[]int32] // the list the fake shard answers for every id
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /shardinfo", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(info(1))
+	})
+	mux.HandleFunc("POST /batch/neighbors", func(w http.ResponseWriter, r *http.Request) {
+		data, _ := io.ReadAll(r.Body)
+		ids, err := serve.DecodeNeighborsRequest(data, serve.MaxBatchItems)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		buf := serve.AppendNeighborsResponseHeader(nil, len(ids))
+		for range ids {
+			buf = serve.AppendNeighborsResponseList(buf, *reply.Load())
+		}
+		w.Write(buf)
+	})
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+
+	client, err := fed.NewClient(&fed.Peers{Epoch: epoch, Shards: [][]string{{healthy.URL}, {fake.URL}}},
+		fed.Config{Retries: 0, RetriesSet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := fed.NewCoordinator(sh, client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Verify(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.NewView(co).Handler())
+	t.Cleanup(ts.Close)
+
+	size := int32(len(sh.GlobalID[1]))
+	bad, good := sh.GlobalID[1][0], sh.GlobalID[0][0]
+	for name, list := range map[string][]int32{
+		"out of range": {0, size + 5},
+		"unsorted":     {2, 1},
+	} {
+		reply.Store(&list)
+		for _, path := range []string{fmt.Sprintf("/neighbors?v=%d", bad), "/pagerank"} {
+			var fail struct {
+				Error string `json:"error"`
+				Shard *int   `json:"shard"`
+			}
+			resp, err := getJSON(t, ts.URL+path, &fail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || fail.Shard == nil || *fail.Shard != 1 {
+				t.Fatalf("%s reply, GET %s: status %d body %+v, want 503 naming shard 1", name, path, resp.StatusCode, fail)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("%s reply, GET %s: 503 without Retry-After", name, path)
+			}
+		}
+		var live serve.NeighborsResult
+		resp, err := getJSON(t, fmt.Sprintf("%s/neighbors?v=%d", ts.URL, good), &live)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s reply: healthy shard's vertex: err=%v status=%v", name, err, resp.StatusCode)
+		}
+		if fmt.Sprint(live.Neighbors) != fmt.Sprint(g.Neighbors(good)) {
+			t.Fatalf("%s reply: neighbors(%d) = %v, want %v", name, good, live.Neighbors, g.Neighbors(good))
+		}
 	}
 }

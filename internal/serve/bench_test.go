@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -55,7 +56,7 @@ func legacyWriteJSON(w http.ResponseWriter, status int, v any) {
 func legacyAnswerNeighbors(s *Server, w http.ResponseWriter, vs []int32, single bool) {
 	view := s.view()
 	results := make([]NeighborsResult, 0, len(vs))
-	view.NeighborsBatch(vs, func(v int32, nbrs []int32) {
+	view.NeighborsBatch(context.Background(), vs, func(v int32, nbrs []int32) {
 		results = append(results, NeighborsResult{
 			V: v, Degree: len(nbrs), Neighbors: append([]int32{}, nbrs...),
 		})
@@ -70,8 +71,9 @@ func legacyAnswerNeighbors(s *Server, w http.ResponseWriter, vs []int32, single 
 
 func legacyHandleHasEdge(s *Server, w http.ResponseWriter, u, v int32) {
 	view := s.view()
+	exists, _ := view.HasEdge(context.Background(), u, v)
 	s.setVersionHeader(w, view)
-	legacyWriteJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": view.HasEdge(u, v)})
+	legacyWriteJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": exists})
 }
 
 // The before/after pairs below are what scripts/bench.sh records into
@@ -94,7 +96,7 @@ func BenchmarkServeNeighborsEncodePooled(b *testing.B) {
 	vs := []int32{4321}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.answerNeighbors(w, vs, true)
+		s.answerNeighbors(context.Background(), w, vs, true)
 	}
 }
 
@@ -123,7 +125,7 @@ func BenchmarkServeNeighborsBatch64EncodePooled(b *testing.B) {
 	vs := benchBatchIDs(10000, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.answerNeighbors(w, vs, false)
+		s.answerNeighbors(context.Background(), w, vs, false)
 	}
 }
 
@@ -140,10 +142,12 @@ func BenchmarkServeHasEdgeEncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
 	w := &nullRW{h: make(http.Header)}
 	view := s.view()
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bp := acquireBuf()
-		buf := appendHasEdgeResult((*bp)[:0], 17, 4321, view.HasEdge(17, 4321))
+		exists, _ := view.HasEdge(ctx, 17, 4321)
+		buf := appendHasEdgeResult((*bp)[:0], 17, 4321, exists)
 		s.setVersionHeader(w, view)
 		writeRawJSON(w, http.StatusOK, buf)
 		*bp = buf
@@ -187,9 +191,9 @@ func TestPooledEncodingAllocBudget(t *testing.T) {
 	s := benchServer(1000, 6000)
 	w := &nullRW{h: make(http.Header)}
 	vs := []int32{123}
-	s.answerNeighbors(w, vs, true) // warm pools
+	s.answerNeighbors(context.Background(), w, vs, true) // warm pools
 	avg := testing.AllocsPerRun(200, func() {
-		s.answerNeighbors(w, vs, true)
+		s.answerNeighbors(context.Background(), w, vs, true)
 	})
 	// Legacy path measures ~8+ allocs/op here; the pooled path must do
 	// strictly better than half of that, and in practice stays ≤2.

@@ -10,6 +10,7 @@ package serve
 // quality: during startup replay or a heavy background compaction.
 
 import (
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -99,20 +100,30 @@ func (s *Server) SetReady(ready bool) {
 	}
 }
 
-// unreadyReason returns why the server is not ready, or "" when it is.
-func (s *Server) unreadyReason() string {
+// unreadyReason returns why the server is not ready ("" when it is)
+// and, when the cause is unreachable shards of a Reporter view, which.
+func (s *Server) unreadyReason() (string, []int) {
 	if p := s.unready.Load(); p != nil {
-		return *p
+		return *p, nil
 	}
 	if s.live != nil && s.live.Stats().Compacting {
-		return "compacting: background re-summarize in flight"
+		return "compacting: background re-summarize in flight", nil
 	}
-	return ""
+	if rep, ok := s.static.(Reporter); ok {
+		if down := rep.DownShards(); len(down) > 0 {
+			return fmt.Sprintf("shards %v unreachable", down), down
+		}
+	}
+	return "", nil
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if reason := s.unreadyReason(); reason != "" {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+	if reason, down := s.unreadyReason(); reason != "" {
+		body := map[string]any{"ready": false, "reason": reason}
+		if down != nil {
+			body["down_shards"] = down
+		}
+		writeJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})

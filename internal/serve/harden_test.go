@@ -1,16 +1,21 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/algos"
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -315,5 +320,84 @@ func TestUpdateDurabilityFailureAnswers503(t *testing.T) {
 	}
 	if _, ok := stats["serving"]; !ok {
 		t.Fatalf("stats without serving section: %v", stats)
+	}
+}
+
+// failingView is a View whose every query fails with err; it counts
+// Source calls so a test can tell a cached PageRank from a recomputed one.
+type failingView struct {
+	err     error
+	sources atomic.Int32
+}
+
+func (f *failingView) NumNodes() int   { return 10 }
+func (f *failingView) Version() uint64 { return 1 }
+
+func (f *failingView) HasEdge(context.Context, int32, int32) (bool, error) { return false, f.err }
+
+func (f *failingView) NeighborsBatch(context.Context, []int32, func(int32, []int32)) error {
+	return f.err
+}
+
+func (f *failingView) Source(context.Context) (algos.NeighborSource, func(), error) {
+	f.sources.Add(1)
+	return nil, nil, f.err
+}
+
+// TestViewErrorAnswers503 checks the error path of every query endpoint
+// against a view that cannot answer: 503 with Retry-After, the failed
+// shard named when the error is a ShardError, and no cached PageRank
+// failure — the next request computes again.
+func TestViewErrorAnswers503(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		err   error
+		shard int // -1: no "shard" field expected
+	}{
+		{"plain", errors.New("backend unreachable"), -1},
+		{"shard", fmt.Errorf("gather: %w", &ShardError{Shard: 2, Err: errors.New("connection refused")}), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fv := &failingView{err: tc.err}
+			h := NewView(fv).Handler()
+			reqs := []*http.Request{
+				httptest.NewRequest(http.MethodGet, "/neighbors?v=3", nil),
+				httptest.NewRequest(http.MethodPost, "/neighbors", strings.NewReader(`{"v":[1,2]}`)),
+				httptest.NewRequest(http.MethodPost, "/batch/neighbors", bytes.NewReader(EncodeNeighborsRequest([]int32{1, 2}))),
+				httptest.NewRequest(http.MethodGet, "/hasedge?u=1&v=2", nil),
+				httptest.NewRequest(http.MethodGet, "/pagerank", nil),
+				httptest.NewRequest(http.MethodGet, "/pagerank", nil),
+			}
+			for _, req := range reqs {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				route := req.Method + " " + req.URL.Path
+				if rec.Code != http.StatusServiceUnavailable {
+					t.Fatalf("%s: status %d, want 503 (%s)", route, rec.Code, rec.Body)
+				}
+				if rec.Header().Get("Retry-After") == "" {
+					t.Fatalf("%s: 503 without Retry-After", route)
+				}
+				var body struct {
+					Error string `json:"error"`
+					Shard *int   `json:"shard"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Fatalf("%s: body %q: %v", route, rec.Body, err)
+				}
+				if body.Error == "" {
+					t.Fatalf("%s: 503 without an error message", route)
+				}
+				switch {
+				case tc.shard < 0 && body.Shard != nil:
+					t.Fatalf("%s: plain error reported shard %d", route, *body.Shard)
+				case tc.shard >= 0 && (body.Shard == nil || *body.Shard != tc.shard):
+					t.Fatalf("%s: body %s does not name shard %d", route, rec.Body, tc.shard)
+				}
+			}
+			if got := fv.sources.Load(); got != 2 {
+				t.Fatalf("two failing /pagerank requests called Source %d times, want 2 (a failure was cached)", got)
+			}
+		})
 	}
 }

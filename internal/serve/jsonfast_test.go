@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -104,7 +105,7 @@ func TestEndpointByteParity(t *testing.T) {
 	// Single: vertices with populated and empty neighborhoods.
 	for _, v := range []int32{0, 4, 6} {
 		nbrs := []int32{}
-		testServer().view().NeighborsBatch([]int32{v}, func(_ int32, ns []int32) {
+		testServer().view().NeighborsBatch(context.Background(), []int32{v}, func(_ int32, ns []int32) {
 			nbrs = append(nbrs, ns...)
 		})
 		want := encodeReference(t, NeighborsResult{V: v, Degree: len(nbrs), Neighbors: nbrs})
@@ -227,7 +228,7 @@ func TestPageRankSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			r, err := s.pageRank(s.view(), 0.85, 20)
+			r, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
 			if err != nil {
 				t.Error(err)
 				return
@@ -250,14 +251,14 @@ func TestPageRankSingleflight(t *testing.T) {
 	}
 
 	// A different (d, t) is its own flight (now cached separately).
-	if _, err := s.pageRank(s.view(), 0.5, 10); err != nil {
+	if _, err := s.pageRank(context.Background(), s.view(), 0.5, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {
 		t.Fatalf("distinct params coalesced: %d computations, want 2", got)
 	}
 	// Cache hit: no new computation.
-	if _, err := s.pageRank(s.view(), 0.85, 20); err != nil {
+	if _, err := s.pageRank(context.Background(), s.view(), 0.85, 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {

@@ -15,6 +15,9 @@
 // (one compiled summary per graph partition plus a boundary-edge
 // sidecar) through the same endpoints: queries route to the owning
 // shard and merge boundary edges, and /stats reports per-shard sizes.
+// NewView mounts any other View the same way — the network federation
+// coordinator (internal/fed), whose queries can fail: a failed query
+// answers 503, naming the shard when one is to blame.
 package serve
 
 import (
@@ -42,28 +45,100 @@ const (
 	// Exported so federation clients (internal/fed) chunk their
 	// scatter-gather fan-out to exactly the server-side limit.
 	MaxBatchItems = 10000
-	// maxBatchItems is the historical private name.
-	maxBatchItems = MaxBatchItems
 )
 
 // View is the read surface every request handler consumes: one
-// immutable snapshot of a served graph. It is implemented by
-// *model.DeltaOverlay (a single summary, possibly live) and by
-// *model.ShardedCompiled (a federation of per-shard summaries), so the
-// endpoints are identical whether the data path is monolithic or
-// sharded.
+// snapshot of a served graph. A single summary (frozen or live) and an
+// in-process sharded federation are served through the adapters below
+// and never fail; a network federation coordinator (internal/fed)
+// answers over the network, so every query takes the request's context
+// and may fail — the handlers answer a failure with 503 (writeViewError).
 type View interface {
 	NumNodes() int
 	// Version keys the PageRank cache: it must change whenever the
 	// represented graph does (immutable views may always return 0).
 	Version() uint64
-	HasEdge(u, v int32) bool
-	NeighborsBatch(vs []int32, visit func(v int32, nbrs []int32))
+	HasEdge(ctx context.Context, u, v int32) (bool, error)
+	// NeighborsBatch calls visit with the sorted neighbors of each of vs,
+	// in request order; nbrs is only valid during the call.
+	NeighborsBatch(ctx context.Context, vs []int32, visit func(v int32, nbrs []int32)) error
+	// Source returns a traversal source for whole-graph algorithms
+	// (PageRank) and the hook that releases it.
+	Source(ctx context.Context) (algos.NeighborSource, func(), error)
+}
+
+// Reporter is implemented by views with serving state of their own —
+// the federation coordinator. /stats includes its fields, and /readyz
+// answers 503 while any of its shards is down.
+type Reporter interface {
+	ReportStats(stats map[string]any)
+	DownShards() []int
+}
+
+// overlayView serves one summary, frozen or a live snapshot. A struct
+// holding a single pointer is stored in an interface without
+// allocating, so the live path's per-request view() stays free.
+type overlayView struct{ *model.DeltaOverlay }
+
+func (o overlayView) HasEdge(_ context.Context, u, v int32) (bool, error) {
+	return o.DeltaOverlay.HasEdge(u, v), nil
+}
+
+func (o overlayView) NeighborsBatch(_ context.Context, vs []int32, visit func(v int32, nbrs []int32)) error {
+	o.DeltaOverlay.NeighborsBatch(vs, visit)
+	return nil
+}
+
+func (o overlayView) Source(context.Context) (algos.NeighborSource, func(), error) {
+	src := algos.OnView(o.DeltaOverlay)
+	return src, src.Release, nil
+}
+
+// shardedView serves an in-process sharded federation.
+type shardedView struct{ *model.ShardedCompiled }
+
+func (sv shardedView) HasEdge(_ context.Context, u, v int32) (bool, error) {
+	return sv.ShardedCompiled.HasEdge(u, v), nil
+}
+
+func (sv shardedView) NeighborsBatch(_ context.Context, vs []int32, visit func(v int32, nbrs []int32)) error {
+	sv.ShardedCompiled.NeighborsBatch(vs, visit)
+	return nil
+}
+
+func (sv shardedView) Source(context.Context) (algos.NeighborSource, func(), error) {
+	src := algos.OnSharded(sv.ShardedCompiled)
+	return src, src.Release, nil
+}
+
+// ShardError marks a failure confined to one shard of a federation: every
+// usable endpoint of the shard failed, or its reply was malformed. The
+// handlers answer it with 503 naming the shard, so a caller learns which
+// piece of the graph is unavailable while the others keep answering.
+type ShardError struct {
+	Shard int
+	Err   error
+}
+
+func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard, e.Err) }
+func (e *ShardError) Unwrap() error { return e.Err }
+
+// writeViewError answers a query the view could not serve: 503 with
+// Retry-After (the failure is the data's, not the request's), plus the
+// failed shard when one is known.
+func writeViewError(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	body := map[string]any{"error": err.Error()}
+	var se *ShardError
+	if errors.As(err, &se) {
+		body["shard"] = se.Shard
+	}
+	writeJSON(w, http.StatusServiceUnavailable, body)
 }
 
 // Server answers graph queries against one summary: a frozen compiled
-// snapshot (New), a live updatable one (NewLive), or a sharded
-// federation (NewSharded).
+// snapshot (New), a live updatable one (NewLive), a sharded federation
+// (NewSharded), or any other View (NewView).
 type Server struct {
 	live   *model.Live // non-nil for mutable servers
 	static View        // frozen snapshot for immutable servers
@@ -100,15 +175,21 @@ type prKey struct {
 	t int
 }
 
-// New wraps a compiled summary in a read-only query server.
-func New(cs *model.CompiledSummary) *Server {
+// NewView serves v read-only: the constructor behind New and
+// NewSharded, and how a network federation coordinator is mounted.
+func NewView(v View) *Server {
 	return &Server{
-		static:   model.NewOverlay(cs),
-		n:        cs.NumNodes(),
+		static:   v,
+		n:        v.NumNodes(),
 		prCache:  make(map[prKey][]float64),
 		prFlight: make(map[prFlightKey]*prCall),
 		eps:      newEndpointMetrics(),
 	}
+}
+
+// New wraps a compiled summary in a read-only query server.
+func New(cs *model.CompiledSummary) *Server {
+	return NewView(overlayView{model.NewOverlay(cs)})
 }
 
 // NewSharded wraps a federated sharded compilation in a read-only
@@ -116,13 +197,7 @@ func New(cs *model.CompiledSummary) *Server {
 // queries routed across shards and the boundary sidecar, and /stats
 // additionally reports per-shard sizes.
 func NewSharded(sc *model.ShardedCompiled) *Server {
-	return &Server{
-		static:   sc,
-		n:        sc.NumNodes(),
-		prCache:  make(map[prKey][]float64),
-		prFlight: make(map[prFlightKey]*prCall),
-		eps:      newEndpointMetrics(),
-	}
+	return NewView(shardedView{sc})
 }
 
 // ShardInfo identifies one shard server of a network federation: which
@@ -156,13 +231,11 @@ func NewShard(cs *model.CompiledSummary, info ShardInfo) *Server {
 // against lock-free overlay snapshots and POST /update mutates the
 // represented graph.
 func NewLive(l *model.Live) *Server {
-	return &Server{
-		live:     l,
-		n:        l.View().NumNodes(),
-		prCache:  make(map[prKey][]float64),
-		prFlight: make(map[prFlightKey]*prCall),
-		eps:      newEndpointMetrics(),
-	}
+	s := NewView(overlayView{l.View()})
+	// Every request takes a fresh snapshot from l; holding the boot
+	// snapshot would pin its base past the first compaction.
+	s.live, s.static = l, nil
+	return s
 }
 
 // WithAlgorithm records the producing algorithm's name (e.g. from
@@ -205,43 +278,9 @@ func (s *Server) markFirstQuery() {
 // view returns the snapshot to answer the current request from.
 func (s *Server) view() View {
 	if s.live != nil {
-		return s.live.View()
+		return overlayView{s.live.View()}
 	}
 	return s.static
-}
-
-// Sourcer lets a View supply its own traversal source for whole-graph
-// algorithms (PageRank). A federated coordinator view implements it to
-// run traversals over a gathered adjacency instead of one remote
-// round-trip per Neighbors call.
-type Sourcer interface {
-	Source() (algos.NeighborSource, func(), error)
-}
-
-// newSource adapts a view to the traversal interface graph algorithms
-// run on, returning the source, its release hook, and an error when a
-// Sourcer view cannot currently produce one (e.g. a shard is down).
-func newSource(v View) (algos.NeighborSource, func(), error) {
-	switch x := v.(type) {
-	case Sourcer:
-		return x.Source()
-	case *model.DeltaOverlay:
-		src := algos.OnView(x)
-		return src, src.Release, nil
-	case *model.ShardedCompiled:
-		src := algos.OnSharded(x)
-		return src, src.Release, nil
-	default:
-		// Generic fallback for other View implementations: one batched
-		// lookup per Neighbors call (correct, just not context-pooled).
-		var out []int32
-		return algos.FromFuncs(v.NumNodes(), func(u int32) []int32 {
-			v.NeighborsBatch([]int32{u}, func(_ int32, nbrs []int32) {
-				out = append(out[:0], nbrs...)
-			})
-			return out
-		}), func() {}, nil
-	}
 }
 
 // Handler returns the HTTP routes:
@@ -350,16 +389,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := map[string]any{}
+	stats := map[string]any{"nodes": s.n}
 	if s.algo != "" {
 		stats["algorithm"] = s.algo
 	}
-	if s.live != nil {
+	switch v := s.static.(type) {
+	case nil: // a live server (NewLive)
 		// One locked snapshot for both the base sizes and the overlay
 		// counters — reading them separately could straddle a compaction
 		// swap and report an old base with new counters.
 		ls := s.live.Stats()
-		stats["nodes"] = ls.Nodes
 		stats["supernodes"] = ls.Supernodes
 		stats["superedges"] = ls.Superedges
 		stats["mutable"] = true
@@ -385,33 +424,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"lsn":     ls.DurableLSN,
 			}
 		}
-	} else {
-		switch v := s.static.(type) {
-		case *model.DeltaOverlay:
-			base := v.Base()
-			stats["nodes"] = base.NumNodes()
-			stats["supernodes"] = base.NumSupernodes()
-			stats["superedges"] = base.NumSuperedges()
-		case *model.ShardedCompiled:
-			stats["nodes"] = v.NumNodes()
-			stats["supernodes"] = v.NumSupernodes()
-			stats["superedges"] = v.NumSuperedges()
-			stats["sharded"] = true
-			stats["boundary_edges"] = v.NumBoundaryEdges()
-			shards := make([]map[string]any, v.NumShards())
-			for i := range shards {
-				cs := v.Shard(i)
-				shards[i] = map[string]any{
-					"shard":      i,
-					"nodes":      cs.NumNodes(),
-					"supernodes": cs.NumSupernodes(),
-					"superedges": cs.NumSuperedges(),
-				}
+	case overlayView:
+		base := v.Base()
+		stats["supernodes"] = base.NumSupernodes()
+		stats["superedges"] = base.NumSuperedges()
+	case shardedView:
+		stats["supernodes"] = v.NumSupernodes()
+		stats["superedges"] = v.NumSuperedges()
+		stats["sharded"] = true
+		stats["boundary_edges"] = v.NumBoundaryEdges()
+		shards := make([]map[string]any, v.NumShards())
+		for i := range shards {
+			cs := v.Shard(i)
+			shards[i] = map[string]any{
+				"shard":      i,
+				"nodes":      cs.NumNodes(),
+				"supernodes": cs.NumSupernodes(),
+				"superedges": cs.NumSuperedges(),
 			}
-			stats["shards"] = shards
-		default:
-			stats["nodes"] = s.n
 		}
+		stats["shards"] = shards
+	case Reporter:
+		v.ReportStats(stats)
 	}
 	if s.shard != nil {
 		stats["shard_role"] = s.shard
@@ -426,8 +460,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		stats["artifact"] = artifact
 	}
+	reason, _ := s.unreadyReason()
 	serving := map[string]any{
-		"ready":     s.unreadyReason() == "",
+		"ready":     reason == "",
 		"panics":    s.panics.Load(),
 		"endpoints": s.eps.snapshot(),
 	}
@@ -447,7 +482,7 @@ type NeighborsResult struct {
 	Neighbors []int32 `json:"neighbors"`
 }
 
-func (s *Server) answerNeighbors(w http.ResponseWriter, vs []int32, single bool) {
+func (s *Server) answerNeighbors(ctx context.Context, w http.ResponseWriter, vs []int32, single bool) {
 	view := s.view()
 	// Hot path: append the response JSON directly from the pooled
 	// decompression buffers into a pooled response buffer — no
@@ -456,18 +491,21 @@ func (s *Server) answerNeighbors(w http.ResponseWriter, vs []int32, single bool)
 	// closure) no per-request closure allocation. Byte-identical to the
 	// encoding/json output, pinned by TestFastJSONByteParity.
 	enc := acquireNbrEncoder()
+	defer releaseNbrEncoder(enc)
 	asArray := !(single && len(vs) == 1)
 	if asArray {
 		enc.buf = append(enc.buf, '[')
 	}
-	view.NeighborsBatch(vs, enc.visit)
+	if err := view.NeighborsBatch(ctx, vs, enc.visit); err != nil {
+		writeViewError(w, err)
+		return
+	}
 	if asArray {
 		enc.buf = append(enc.buf, ']')
 	}
 	enc.buf = append(enc.buf, '\n')
 	s.setVersionHeader(w, view)
 	writeRawJSON(w, http.StatusOK, enc.buf)
-	releaseNbrEncoder(enc)
 	s.markFirstQuery()
 }
 
@@ -478,8 +516,8 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	parts := strings.Split(raw, ",")
-	if len(parts) > maxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), maxBatchItems)
+	if len(parts) > MaxBatchItems {
+		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), MaxBatchItems)
 		return
 	}
 	vs := make([]int32, 0, len(parts))
@@ -491,7 +529,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		vs = append(vs, v)
 	}
-	s.answerNeighbors(w, vs, true)
+	s.answerNeighbors(r.Context(), w, vs, true)
 }
 
 // handleNeighborsPost is the JSON-body batch form, for batches too
@@ -507,8 +545,8 @@ func (s *Server) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing field %q", "v")
 		return
 	}
-	if len(req.V) > maxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), maxBatchItems)
+	if len(req.V) > MaxBatchItems {
+		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), MaxBatchItems)
 		return
 	}
 	for _, v := range req.V {
@@ -517,7 +555,7 @@ func (s *Server) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.answerNeighbors(w, req.V, false)
+	s.answerNeighbors(r.Context(), w, req.V, false)
 }
 
 func (s *Server) handleHasEdge(w http.ResponseWriter, r *http.Request) {
@@ -532,9 +570,14 @@ func (s *Server) handleHasEdge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.view()
+	exists, err := view.HasEdge(r.Context(), u, v)
+	if err != nil {
+		writeViewError(w, err)
+		return
+	}
 	s.setVersionHeader(w, view)
 	bp := acquireBuf()
-	buf := appendHasEdgeResult((*bp)[:0], u, v, view.HasEdge(u, v))
+	buf := appendHasEdgeResult((*bp)[:0], u, v, exists)
 	writeRawJSON(w, http.StatusOK, buf)
 	*bp = buf
 	releaseBuf(bp)
@@ -561,7 +604,7 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	idsBuf := acquireInt32s()
 	defer releaseInt32s(idsBuf)
-	ids, err := DecodeNeighborsRequestInto(*idsBuf, data, maxBatchItems)
+	ids, err := DecodeNeighborsRequestInto(*idsBuf, data, MaxBatchItems)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -577,10 +620,14 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	respBuf := acquireBuf()
 	defer releaseBuf(respBuf)
 	buf := AppendNeighborsResponseHeader((*respBuf)[:0], len(ids))
-	view.NeighborsBatch(ids, func(_ int32, nbrs []int32) {
+	err = view.NeighborsBatch(r.Context(), ids, func(_ int32, nbrs []int32) {
 		buf = AppendNeighborsResponseList(buf, nbrs)
 	})
 	*respBuf = buf[:0]
+	if err != nil {
+		writeViewError(w, err)
+		return
+	}
 	s.setVersionHeader(w, view)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(buf)
@@ -631,7 +678,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// an Allow header on every 405; the empty list states that no
 		// method is currently allowed on the resource.
 		w.Header().Set("Allow", "")
-		httpError(w, http.StatusMethodNotAllowed, "server is read-only; restart with -mutable to accept updates")
+		httpError(w, http.StatusMethodNotAllowed, "server is read-only; updates go to a single-process server started with -mutable")
 		return
 	}
 	var req updateRequest
@@ -647,8 +694,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		ups = []model.EdgeUpdate{{U: *req.U, V: *req.V, Delete: req.Delete}}
 	case len(req.Updates) > 0:
-		if len(req.Updates) > maxBatchItems {
-			httpError(w, http.StatusBadRequest, "batch of %d exceeds %d updates", len(req.Updates), maxBatchItems)
+		if len(req.Updates) > MaxBatchItems {
+			httpError(w, http.StatusBadRequest, "batch of %d exceeds %d updates", len(req.Updates), MaxBatchItems)
 			return
 		}
 		ups = make([]model.EdgeUpdate, len(req.Updates))
@@ -724,11 +771,11 @@ type prCall struct {
 
 // computePageRank runs the actual power iteration (overridable in tests
 // to count and slow down computations).
-func (s *Server) computePageRank(view View, d float64, t int) ([]float64, error) {
+func (s *Server) computePageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
 	if s.prCompute != nil {
 		return s.prCompute(view, d, t)
 	}
-	src, release, err := newSource(view)
+	src, release, err := view.Source(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -745,7 +792,8 @@ func (s *Server) computePageRank(view View, d float64, t int) ([]float64, error)
 // (d, t, version) are coalesced into a single computation
 // (singleflight): under update-driven version churn a thundering herd
 // of /pagerank requests costs one power iteration, not one per request.
-func (s *Server) pageRank(view View, d float64, t int) ([]float64, error) {
+// A failed computation is shared with its followers but never cached.
+func (s *Server) pageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
 	key := prKey{d: d, t: t}
 	ver := view.Version()
 	s.mu.Lock()
@@ -774,7 +822,10 @@ func (s *Server) pageRank(view View, d float64, t int) ([]float64, error) {
 	s.prFlight[fk] = c
 	s.mu.Unlock()
 
-	c.val, c.err = s.computePageRank(view, d, t)
+	// The leader computes for its followers too: its own client going
+	// away must not fail theirs. The view's own timeouts (a federation
+	// client's per-attempt deadline) still bound the computation.
+	c.val, c.err = s.computePageRank(context.WithoutCancel(ctx), view, d, t)
 
 	s.mu.Lock()
 	delete(s.prFlight, fk)
@@ -827,10 +878,9 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		top = parsed
 	}
 	view := s.view()
-	rank, err := s.pageRank(view, d, t)
+	rank, err := s.pageRank(r.Context(), view, d, t)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		writeViewError(w, err)
 		return
 	}
 	s.setVersionHeader(w, view)

@@ -160,3 +160,34 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		t.Fatal("over-cap request decoded without error")
 	}
 }
+
+// FuzzDecodeNeighborsResponse feeds arbitrary bytes (and an arbitrary
+// expected count) through the shard-reply decoder the federation
+// coordinator trusts: it must never panic, and any input it accepts
+// must re-encode to the identical bytes.
+func FuzzDecodeNeighborsResponse(f *testing.F) {
+	valid := AppendNeighborsResponseHeader(nil, 3)
+	valid = AppendNeighborsResponseList(valid, []int32{1, 5, 9})
+	valid = AppendNeighborsResponseList(valid, nil)
+	valid = AppendNeighborsResponseList(valid, []int32{1<<31 - 1})
+	f.Add(valid, 3)
+	f.Add(valid[:len(valid)-1], 3)
+	f.Add(append(valid, 0), 3)
+	f.Add([]byte("NBRS\xff\xff\xff\xff"), 1<<32-1)
+	f.Add([]byte("NBRS\x01\x00\x00\x00\xff\xff\xff\xff"), 1)
+	f.Add([]byte{}, 0)
+
+	f.Fuzz(func(t *testing.T, data []byte, want int) {
+		lists, err := DecodeNeighborsResponse(data, want)
+		if err != nil {
+			return
+		}
+		buf := AppendNeighborsResponseHeader(nil, len(lists))
+		for _, nbrs := range lists {
+			buf = AppendNeighborsResponseList(buf, nbrs)
+		}
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("accepted %x but re-encodes to %x", data, buf)
+		}
+	})
+}

@@ -104,6 +104,11 @@ func DecodeNeighborsResponse(data []byte, want int) ([][]int32, error) {
 	if int(count) != want {
 		return nil, fmt.Errorf("batch response holds %d neighborhoods, want %d", count, want)
 	}
+	if uint64(count) > uint64(len(data)-8)/4 {
+		// Each neighborhood takes at least its 4-byte degree: refuse the
+		// count before sizing the result by it.
+		return nil, fmt.Errorf("batch response of %d bytes cannot hold %d neighborhoods", len(data), count)
+	}
 	out := make([][]int32, count)
 	off := 8
 	for i := range out {
